@@ -8,9 +8,11 @@ Usage, from the root of the repository::
 Without ``--workload`` the three workloads run one after another in
 this process.  Each workload is set up three times (the median set-up
 time is reported), then passes are repeated until ``--seconds`` have
-elapsed, and at least twice; the end-to-end metrics are medians over
-passes.  With ``--trace 1``, untraced and traced passes alternate and the
-per-layer metrics come from the traced pass with the median wall time.
+elapsed, and at least twice.  ``wall_s`` adds up, cell by cell, the
+fastest time any untraced pass took (see ``perfbench/laps.py``); the
+rates divide by it.  With ``--trace 1``, untraced and traced passes
+alternate and the per-layer metrics come from the traced pass with the
+median wall time.
 
 Every line before the last names a metric, its value and its unit; the
 last line is one JSON object with the keys ``correct``, ``attempted``,
@@ -38,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: The seed no tuning run uses; a speed claim is confirmed on it.
 HELD_OUT_SEED = 4242
 SETUP_REPEATS = 3
+#: Passes per run, at the least, whatever ``--seconds`` says.
+MIN_PASSES = 2
 #: The contention control: one fixed capture, timed before the run.
 PROBE_SEED = 7
 
@@ -96,6 +100,7 @@ def per_layer_units() -> dict[str, str]:
 class PassRecord:
     traced: bool
     wall_s: float
+    laps: list[float]
     outcome: object
     tracer: object | None
 
@@ -124,13 +129,13 @@ def contention_probe() -> float:
 
 def run_passes(workload, state, seed: int, workdir: str, seconds: float,
                traced: bool) -> list[PassRecord]:
-    """Repeat passes until ``seconds`` elapse and there are at least two.
+    """Repeat passes until ``seconds`` elapse and ``MIN_PASSES`` ran.
 
-    Traced, the passes alternate between untraced and traced.  The
-    second pass matters when the host slows down: a run that spends its
-    whole time in a slow spell then lasts longer, so fewer runs fall
-    into one spell.
+    Traced, the passes alternate between untraced and traced.  Passes
+    of each kind take the process's CPUs in turn, so that the fastest
+    laps (``perfbench/laps.py``) come from more than one CPU.
     """
+    from perfbench.laps import lap_marks, laps, on_cpu
     from perfbench.layers import instrumented
     from perfbench.spans import Tracer
     from perfbench.workloads import check
@@ -141,24 +146,30 @@ def run_passes(workload, state, seed: int, workdir: str, seconds: float,
     while True:
         trace_this = traced and len(records) % 2 == 1
         tracer = Tracer() if trace_this else None
+        marks: list[float] = []
         gc.collect()
-        begin = perf_counter()
-        if tracer is None:
-            result = workload.run_pass(state, seed, workdir)
-        else:
-            with instrumented(tracer):
-                result = workload.run_pass(state, seed, workdir)
-        wall = perf_counter() - begin
+        with on_cpu(len(records) // 2 if traced else len(records)):
+            if tracer is None:
+                with lap_marks(marks):
+                    result = workload.run_pass(state, seed, workdir)
+            else:
+                with instrumented(tracer), lap_marks(marks):
+                    result = workload.run_pass(state, seed, workdir)
         if tracer is not None:
             tracer.add("trace.memo_hits", TAPS.memo_hits)
-        records.append(PassRecord(trace_this, wall, check(result), tracer))
-        if len(records) >= 2 and perf_counter() - started >= seconds:
+        records.append(PassRecord(trace_this, marks[-1] - marks[0],
+                                  laps(marks), check(result), tracer))
+        # The next pass must not run beside this one's simulator state.
+        del result
+        if (len(records) >= MIN_PASSES
+                and perf_counter() - started >= seconds):
             return records
 
 
 def run_workload(name: str, seed: int, seconds: float, traced: bool,
                  import_s: float, probe_rate: float, workdir: str) -> dict:
     """Set up and measure one workload; returns its result object."""
+    from perfbench.laps import fastest_laps_total
     from perfbench.layers import ledger
     from perfbench.workloads import WORKLOADS
 
@@ -180,7 +191,6 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool,
         print(f"FAILED {name}: {line}", file=sys.stderr)
     outcome = outcomes[0]
     untraced = [r for r in records if not r.traced]
-    wall = statistics.median(r.wall_s for r in untraced)
     if traced:
         traced_records = sorted((r for r in records if r.traced),
                                 key=lambda r: r.wall_s)
@@ -195,14 +205,20 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool,
             "fleet.p99_us": outcome.p99_us,
             "fleet.acked_lost": outcome.acked_lost,
             "import_s": import_s,
-            "trace_overhead_s": statistics.median(
-                r.wall_s for r in traced_records) - wall,
+            "trace_overhead_s": (
+                statistics.median(r.wall_s for r in traced_records)
+                - statistics.median(r.wall_s for r in untraced)),
             "probe.capture_uops_per_s": probe_rate,
         })
         units = per_layer_units()
         spans_dir = ROOT / ".perfbench"
         chosen.tracer.dump(spans_dir / f"spans-{name}-seed{seed}.jsonl")
     else:
+        wall = fastest_laps_total([r.laps for r in untraced])
+        if wall is None:
+            print(f"note {name}: passes cut into different laps; wall_s "
+                  "is the median pass", file=sys.stderr)
+            wall = statistics.median(r.wall_s for r in untraced)
         metrics = {
             "wall_s": wall,
             "setup_s": import_s + statistics.median(setup_times),
@@ -240,7 +256,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
                         help="one workload (default: all three, in turn)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=20.0,
+    parser.add_argument("--seconds", type=float, default=25.0,
                         help="measure passes for at least this long")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: alternate traced passes, report layers")
