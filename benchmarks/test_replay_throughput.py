@@ -42,9 +42,9 @@ def _timed_replay(captured, params: MachineParams, engine: str):
         core = Core(params, hierarchy)
         started = perf_counter()
         if engine == "columnar":
-            result = replay_columns(core, batch_for(captured.streams[0]))
+            result = replay_columns(core, batch_for(captured.stream))
         else:
-            result = core.run(source.streams())
+            result = core.run([captured.stream.decode()])
         best = min(best, perf_counter() - started)
     return result, WINDOW / best
 

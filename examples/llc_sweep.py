@@ -17,9 +17,11 @@ from dataclasses import replace
 from repro import RunConfig, analysis, run_workload
 from repro.core.polluter import polluter_array_bytes, warm_polluter
 from repro.trace.capture import TraceKey
+from repro.trace.columns import batch_for
 from repro.trace.pipeline import materialize
 from repro.trace.replay import ReplaySource
 from repro.uarch.core import Core
+from repro.uarch.fastpath import replay_columns
 from repro.uarch.hierarchy import MemoryHierarchy
 
 SIZES_MB = (4, 6, 8, 10, 11, 12)
@@ -59,8 +61,8 @@ def polluter_method(name: str, config: RunConfig) -> dict[int, float]:
         # their own cores, §3.1, so their array never leaves the LLC).
         if array_bytes:
             warm_polluter(hierarchy.llc, array_bytes)
-        core = Core(config.params, hierarchy)
-        result = core.run(source.streams())
+        result = replay_columns(Core(config.params, hierarchy),
+                                batch_for(captured.stream))
         curve[size] = analysis.application_ipc(result)
     return curve
 

@@ -22,7 +22,7 @@ trace-driven: the measurement stream is captured once per
 configuration.  SMT and chip runs interleave thread generation with
 core timing, so their stream content depends on the configuration
 under test — they keep live generation through
-:class:`repro.trace.live.LiveSource`, behind the same source protocol.
+:mod:`repro.trace.live` and are timed by ``Core.run``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import RunawayTraceError
 from repro.trace import pipeline as trace_pipeline
-from repro.trace.capture import TraceKey
+from repro.trace.capture import TraceKey, build_app_for
 from repro.trace.live import LiveSource, live_stream
 from repro.uarch.chip import Chip, ChipResult
 from repro.uarch.core import Core, CoreResult
@@ -186,44 +186,57 @@ def run_workload(name: str, config: RunConfig | None = None,
     trace cannot supply.
     """
     config = config or RunConfig()
-    key = _cache_key("single", name, config)
+    return _run_captured("single", TraceKey.from_config(name, config),
+                         config, use_cache, require_app)
+
+
+def run_workload_smt(name: str, config: RunConfig | None = None,
+                     use_cache: bool = True) -> WorkloadRun:
+    """Measure one workload with two threads on one SMT core (Fig. 3)."""
+    config = config or RunConfig()
+    return _run_smt("smt", TraceKey.from_config(name, config), config,
+                    use_cache)
+
+
+def _run_captured(kind: str, trace_key: TraceKey, config: RunConfig,
+                  use_cache: bool, require_app: bool = False
+                  ) -> WorkloadRun:
+    """Replay the captured trace ``trace_key`` under ``config``."""
+    label = trace_key.label()
+    key = _cache_key(kind, label, config)
     if use_cache and (hit := _cache_get(key)) is not None \
             and not (require_app and hit.app is None):
         return hit
-    trace_key = TraceKey.from_config(name, config)
     captured, app = trace_pipeline.materialize(
         trace_key, use_store=use_cache, require_app=require_app)
     result = trace_pipeline.replay(captured, config.params)
-    run = WorkloadRun(name, config, result, app)
+    run = WorkloadRun(label, config, result, app)
     if use_cache:
         _cache_put(key, run)
     return run
 
 
-def run_workload_smt(name: str, config: RunConfig | None = None,
-                     use_cache: bool = True) -> WorkloadRun:
-    """Measure one workload with two threads on one SMT core (Fig. 3).
+def _run_smt(kind: str, trace_key: TraceKey, config: RunConfig,
+             use_cache: bool) -> WorkloadRun:
+    """Two threads of the app ``trace_key`` names on one SMT core.
 
     SMT streams are pulled in core-interleaved order from one shared
     app, so their content depends on the timing configuration — the
-    run stays live (guarded) behind a :class:`LiveSource`.
+    run stays live (guarded), split evenly between the threads.
     """
-    config = config or RunConfig()
-    smt_params = config.params.with_smt(2)
-    config = replace(config, params=smt_params)
-    key = _cache_key("smt", name, config)
+    config = replace(config, params=config.params.with_smt(2))
+    label = trace_key.label()
+    key = _cache_key(kind, label, config)
     if use_cache and (hit := _cache_get(key)) is not None:
         return hit
-    app = build_app(name, seed=config.seed)
-    _attach_faults(app, config)
+    app = build_app_for(trace_key)
     half = config.window_uops // 2
-    source = LiveSource(app, budgets=(half, half), label=name,
+    source = LiveSource(app, budgets=(half, half), label=label,
                         warm_uops=config.warm_uops)
-    hierarchy = MemoryHierarchy(smt_params)
+    hierarchy = MemoryHierarchy(config.params)
     source.warm_into(hierarchy)
-    core = Core(smt_params, hierarchy)
-    result = core.run(source.streams())
-    run = WorkloadRun(name, config, result, app)
+    result = Core(config.params, hierarchy).run(source.streams())
+    run = WorkloadRun(label, config, result, app)
     if use_cache:
         _cache_put(key, run)
     return run
@@ -260,35 +273,10 @@ def run_workload_members(name: str, config: RunConfig | None = None,
 
 def _run_member(group: str, member: str, config: RunConfig,
                 smt: bool, use_cache: bool = True) -> WorkloadRun:
-    from repro.core.workloads import REGISTRY
-
-    params = config.params.with_smt(2) if smt else config.params
-    key = _cache_key("smt-member" if smt else "member", f"{group}:{member}",
-                     replace(config, params=params))
-    if use_cache and (hit := _cache_get(key)) is not None:
-        return hit
-    label = f"{group}:{member}"
+    trace_key = TraceKey.from_config(group, config, member=member)
     if smt:
-        spec = REGISTRY[group]
-        app_cls = type(spec.factory(0))
-        app = app_cls(seed=config.seed, member=member)
-        _attach_faults(app, config)
-        half = config.window_uops // 2
-        source = LiveSource(app, budgets=(half, half), label=label,
-                            warm_uops=config.warm_uops)
-        hierarchy = MemoryHierarchy(params)
-        source.warm_into(hierarchy)
-        core = Core(params, hierarchy)
-        result = core.run(source.streams())
-    else:
-        trace_key = TraceKey.from_config(group, config, member=member)
-        captured, app = trace_pipeline.materialize(trace_key,
-                                                   use_store=use_cache)
-        result = trace_pipeline.replay(captured, params)
-    run = WorkloadRun(label, replace(config, params=params), result, app)
-    if use_cache:
-        _cache_put(key, run)
-    return run
+        return _run_smt("smt-member", trace_key, config, use_cache)
+    return _run_captured("member", trace_key, config, use_cache)
 
 
 def metric_mean(runs: list[WorkloadRun], metric) -> float:

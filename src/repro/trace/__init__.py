@@ -11,9 +11,9 @@ every measurement into two stages:
   measurement streams exactly once per trace key into a compact
   columnar encoding (:mod:`repro.trace.codec`), under the runaway-trace
   watchdog;
-* **replay** (:mod:`repro.trace.replay`) feeds the decoded stream — a
-  byte-identical :class:`~repro.uarch.uop.MicroOp` sequence — into a
-  fresh :class:`~repro.uarch.hierarchy.MemoryHierarchy` and core,
+* **replay** (:mod:`repro.trace.replay`) warms a fresh
+  :class:`~repro.uarch.hierarchy.MemoryHierarchy` from the capture and
+  times its one measurement stream with the columnar engine,
   guard-free, once per machine configuration.
 
 Captured traces persist in an on-disk store
@@ -21,13 +21,13 @@ Captured traces persist in an on-disk store
 :mod:`repro.trace.pipeline` memoizes them in-process, so a sweep is
 O(traces) + O(cells · replay) instead of O(cells · generate).
 Timing-entangled runs (SMT, multi-core chips) keep live generation via
-:mod:`repro.trace.live`, behind the same source protocol.
+:mod:`repro.trace.live` and time it with ``Core.run``.
 """
 
 from repro.trace.capture import CapturedTrace, TraceKey, capture
 from repro.trace.codec import TRACE_SCHEMA, EncodedStream, encode_stream
 from repro.trace.pipeline import TAPS, materialize, replay
-from repro.trace.replay import ReplaySource, TraceSource
+from repro.trace.replay import ReplaySource
 from repro.trace.store import TraceFormatError, TraceStore
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "TraceKey",
     "CapturedTrace",
     "capture",
-    "TraceSource",
     "ReplaySource",
     "TraceStore",
     "TraceFormatError",

@@ -7,15 +7,15 @@ counters on a fresh :class:`~repro.uarch.hierarchy.MemoryHierarchy`:
   kernel's and app's steady-state data ranges);
 * the **warm stream** — the short execution replay that orders LRU
   recency and trains the prefetchers before measurement;
-* the **measurement stream(s)** — the windowed micro-op trace the core
+* the **measurement stream** — the windowed micro-op trace the core
   actually times.
 
 The measurement stream depends only on :class:`TraceKey` — workload,
-member, seed, window/warm budgets, thread count, and fault plan — and
-on no machine parameter, which is what makes capture-once /
-replay-many sound.  The key's fingerprint is computed by the same
-canonicalization machinery as :func:`repro.core.sweep.config_fingerprint`
-and folds in :data:`~repro.trace.codec.TRACE_SCHEMA`.
+member, seed, window/warm budgets, and fault plan — and on no machine
+parameter, which is what makes capture-once / replay-many sound.  The
+key's fingerprint is computed by the same canonicalization machinery
+as :func:`repro.core.sweep.config_fingerprint` and folds in
+:data:`~repro.trace.codec.TRACE_SCHEMA`.
 
 Capture is the *only* stage allowed to run unbounded app code, so the
 measurement drain runs under the runaway-trace watchdog
@@ -47,10 +47,10 @@ class TraceKey:
     Machine parameters are deliberately absent: that is the invariant
     the whole pipeline rests on, and the replay-equivalence tests
     enforce it.  ``member`` selects one benchmark of a synthetic group
-    (``parsec-cpu:blackscholes``); ``threads`` is the number of
-    captured measurement streams (1 everywhere today — SMT and chip
-    runs interleave thread generation with core timing and therefore
-    stay live, see :mod:`repro.trace.live`).
+    (``parsec-cpu:blackscholes``).  A key describes one hardware
+    thread's measurement stream: SMT and chip runs interleave thread
+    generation with core timing and therefore stay live, see
+    :mod:`repro.trace.live`.
     """
 
     workload: str
@@ -58,7 +58,6 @@ class TraceKey:
     seed: int = 7
     window_uops: int = 100_000
     warm_uops: int = 40_000
-    threads: int = 1
     fault_plan: FaultPlan | None = None
     #: When set, the streams drain one fleet op class (``read``/
     #: ``update``/...) through the app's
@@ -115,22 +114,22 @@ class CapturedTrace:
     #: before the warm stream replays (code + steady-state data).
     fill_ranges: tuple[tuple[int, int], ...]
     warm: EncodedStream
-    streams: tuple[EncodedStream, ...]
+    stream: EncodedStream
     #: JSON-safe capture provenance (key fields, uop counts) — shown by
     #: ``python -m repro trace ls`` without decoding the payload.
     meta: dict = field(default_factory=dict)
 
     def total_uops(self) -> int:
-        """Warm plus measurement micro-ops across every stream."""
-        return len(self.warm) + sum(len(s) for s in self.streams)
+        """Warm plus measurement micro-ops."""
+        return len(self.warm) + len(self.stream)
 
     def window_uops(self) -> int:
-        """Measurement micro-ops across every stream."""
-        return sum(len(s) for s in self.streams)
+        """Measurement micro-ops."""
+        return len(self.stream)
 
     def nbytes(self) -> int:
-        """Encoded payload size across every stream."""
-        return self.warm.nbytes() + sum(s.nbytes() for s in self.streams)
+        """Encoded payload size of both streams."""
+        return self.warm.nbytes() + self.stream.nbytes()
 
 
 def fill_ranges_for(app: "ServerApp") -> tuple[tuple[int, int], ...]:
@@ -173,7 +172,7 @@ def capture(key: TraceKey) -> tuple[CapturedTrace, "ServerApp"]:
 
     Stream order matters and mirrors the live runner exactly: fill
     ranges first (see :func:`fill_ranges_for`), then the warm stream,
-    then each measurement stream, all from one app instance whose RNG
+    then the measurement stream, all from one app instance whose RNG
     and dataset state evolve across the drain.
     """
     if key.op_class is not None:
@@ -182,26 +181,20 @@ def capture(key: TraceKey) -> tuple[CapturedTrace, "ServerApp"]:
     fill_ranges = fill_ranges_for(app)
     warm = encode_stream(app.trace(0, key.warm_uops))
     label = key.label()
-    budget = key.window_uops // key.threads if key.threads > 1 \
-        else key.window_uops
-    streams = tuple(
-        encode_stream(guard_trace(app.trace(tid, budget),
-                                  trace_budget(budget), label))
-        for tid in range(key.threads)
-    )
+    stream = encode_stream(guard_trace(app.trace(0, key.window_uops),
+                                       trace_budget(key.window_uops), label))
     captured = CapturedTrace(
         fingerprint=key.fingerprint(),
         label=label,
         fill_ranges=fill_ranges,
         warm=warm,
-        streams=streams,
+        stream=stream,
         meta={
             "workload": key.workload,
             "member": key.member,
             "seed": key.seed,
             "window_uops": key.window_uops,
             "warm_uops": key.warm_uops,
-            "threads": key.threads,
             "fault_events": (len(key.fault_plan.events)
                              if key.fault_plan is not None else 0),
         },
@@ -212,16 +205,13 @@ def capture(key: TraceKey) -> tuple[CapturedTrace, "ServerApp"]:
 def _capture_op_class(key: TraceKey) -> tuple[CapturedTrace, "ServerApp"]:
     """Capture one fleet op class for cost calibration.
 
-    Single-stream by construction (one thread, no fault plan — degraded
-    paths are op classes of their own here) so the columnar fastpath
-    replays it.  Request boundaries are recorded into the trace's meta
+    No fault plan: degraded paths are op classes of their own here.
+    Request boundaries are recorded into the trace's meta
     (``request_uops``) for proportional cycle attribution.
     """
     if key.fault_plan is not None:
         raise ValueError("op-class capture takes no fault plan; degraded "
                          "modes are separate op classes")
-    if key.threads != 1:
-        raise ValueError("op-class capture is single-threaded")
     app = build_app_for(key)
     # Degraded-path code must be registered before the layout snapshot
     # so all five op-class traces of one workload see one address space.
@@ -239,14 +229,13 @@ def _capture_op_class(key: TraceKey) -> tuple[CapturedTrace, "ServerApp"]:
         label=label,
         fill_ranges=fill_ranges,
         warm=warm,
-        streams=(stream,),
+        stream=stream,
         meta={
             "workload": key.workload,
             "member": key.member,
             "seed": key.seed,
             "window_uops": key.window_uops,
             "warm_uops": key.warm_uops,
-            "threads": key.threads,
             "fault_events": 0,
             "op_class": key.op_class,
             "request_uops": boundaries,

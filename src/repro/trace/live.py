@@ -4,11 +4,9 @@ SMT and multi-core measurements interleave thread streams at the
 core's cycle granularity, and each pull mutates the shared app state
 (its RNG, its dataset) — the stream *content* depends on core timing,
 so those runs cannot be captured once and replayed across machine
-configurations.  They still speak the pipeline's
-:class:`~repro.trace.replay.TraceSource` protocol through
-:class:`LiveSource`, and their warming and guarding go through the
-same helpers as capture, so the watchdog and the layering rule hold
-everywhere.
+configurations.  :class:`LiveSource` feeds them to ``Core.run``, and
+their warming and guarding go through the same helpers as capture, so
+the watchdog and the layering rule hold everywhere.
 
 This module (with :mod:`repro.trace.capture` and ``core/runner.py``)
 is the sanctioned home of direct ``app.trace()`` consumption — the
@@ -69,7 +67,7 @@ def take_uops(app: "ServerApp", tid: int, budget: int) -> List[MicroOp]:
 
 
 class LiveSource:
-    """A :class:`~repro.trace.replay.TraceSource` over a live app.
+    """Warming and guarded measurement streams from a live app.
 
     ``budgets`` gives one measurement budget per hardware thread;
     every stream is watchdog-guarded.  Used for SMT runs, where two

@@ -3,25 +3,17 @@
 Replay is the per-configuration half of the pipeline: build a fresh
 :class:`~repro.uarch.hierarchy.MemoryHierarchy` for the machine
 parameters under test, functionally warm it from the captured fill
-ranges and warm stream, then run the core over the measurement
-stream(s).
+ranges and warm stream, then time the measurement stream with the
+columnar engine (:func:`repro.uarch.fastpath.replay_columns`), which
+reads the encoded columns positionally through a
+:class:`~repro.trace.columns.ColumnBatch` — no per-uop ``MicroOp``
+objects, no generator resumes.
 
-Two engines execute the measurement window:
-
-* the **columnar** fast path (:func:`repro.uarch.fastpath.replay_columns`)
-  reads the encoded columns positionally through a
-  :class:`~repro.trace.columns.ColumnBatch` — no per-uop ``MicroOp``
-  objects, no generator resumes.  Selected for the common sweep shape:
-  one captured stream, no SMT, no fault plan;
-* the **general** loop (:meth:`repro.uarch.core.Core.run`) over decoded
-  streams handles everything else (SMT pairs, fault-injected captures).
-
-Both produce byte-identical :class:`~repro.uarch.core.CoreResult`
-counters — the replay-equivalence tests pin fast-vs-general and
-replay-vs-live for every workload in the registry.  Engine selection is
-a pure function of the run configuration (:func:`replay_path_for`) and
-participates in :func:`repro.core.sweep.config_fingerprint`, so cached
-results always record which engine produced them.
+Every captured trace holds exactly one measurement stream, so the
+columnar engine times them all.  :meth:`repro.uarch.core.Core.run`
+stays the engine for live SMT and chip runs and the reference the
+replay-equivalence tests hold the columnar engine to, byte for byte,
+for every workload in the registry.
 
 No watchdog here: the stream length was bounded at capture time, so
 wrapping replay in a guard would only add per-uop overhead to the hot
@@ -31,7 +23,7 @@ path.
 from __future__ import annotations
 
 import gc
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Protocol
+from typing import TYPE_CHECKING, Iterable
 
 from repro.trace.columns import ColumnBatch, batch_for
 from repro.uarch.core import Core, CoreResult
@@ -43,24 +35,8 @@ from repro.uarch.uop import MicroOp
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.trace.capture import CapturedTrace
 
-__all__ = ["TraceSource", "ReplaySource", "fill_lines",
-           "functional_replay", "functional_replay_batch",
-           "replay_trace", "selected_replay_path", "replay_path_for"]
-
-
-class TraceSource(Protocol):
-    """What a core-feeding stage needs from any trace provider.
-
-    Implemented by :class:`ReplaySource` (decoded captures) and
-    :class:`repro.trace.live.LiveSource` (generation-entangled runs);
-    the runner is indifferent to which it holds.
-    """
-
-    def warm_into(self, hierarchy: MemoryHierarchy) -> None:
-        """Functionally warm ``hierarchy`` for this trace."""
-
-    def streams(self) -> List[Iterator[MicroOp]]:
-        """One measurement micro-op iterator per hardware thread."""
+__all__ = ["ReplaySource", "fill_lines", "functional_replay",
+           "functional_replay_batch", "replay_trace"]
 
 
 def fill_lines(hierarchy: MemoryHierarchy,
@@ -117,7 +93,7 @@ def functional_replay_batch(hierarchy: MemoryHierarchy,
 
 
 class ReplaySource:
-    """A :class:`TraceSource` over one :class:`CapturedTrace`."""
+    """Functional warming from one :class:`CapturedTrace`."""
 
     def __init__(self, captured: "CapturedTrace") -> None:
         self.captured = captured
@@ -127,52 +103,10 @@ class ReplaySource:
         fill_lines(hierarchy, self.captured.fill_ranges)
         functional_replay_batch(hierarchy, batch_for(self.captured.warm))
 
-    def streams(self) -> List[Iterator[MicroOp]]:
-        """Fresh decode iterators, one per captured thread stream."""
-        return [stream.decode() for stream in self.captured.streams]
-
-
-def selected_replay_path(captured: "CapturedTrace",
-                         params: MachineParams) -> str:
-    """Which engine :func:`replay_trace` will use: ``columnar`` or ``general``.
-
-    The columnar loop implements exactly the single-thread, no-budget
-    slice of the core model, so it is selected only when the capture has
-    one measurement stream, the machine runs one hardware thread, and
-    the capture carries no injected faults.  A capture whose provenance
-    is missing (no ``fault_events`` in ``meta``) conservatively takes
-    the general loop.
-    """
-    if (
-        len(captured.streams) == 1
-        and params.smt_threads == 1
-        and captured.meta.get("fault_events") == 0
-    ):
-        return "columnar"
-    return "general"
-
-
-def replay_path_for(kind: str, config) -> str:
-    """Engine selection as a function of a sweep cell's configuration.
-
-    Mirrors :func:`selected_replay_path` for fingerprinting: ``kind`` is
-    the :func:`repro.core.sweep.config_fingerprint` cell kind.  Only the
-    trace-driven single-stream kinds (``single``, ``member``) can take
-    the columnar engine; SMT and chip cells time live generation and
-    always use the general loop.
-    """
-    if (
-        kind in ("single", "member")
-        and config.fault_plan is None
-        and config.params.smt_threads == 1
-    ):
-        return "columnar"
-    return "general"
-
 
 def replay_trace(captured: "CapturedTrace",
                  params: MachineParams) -> CoreResult:
-    """One timing measurement: warm a fresh hierarchy, run the core.
+    """One timing measurement: warm a fresh hierarchy, replay the columns.
 
     The cyclic collector is paused for the duration of the measurement:
     replay allocates no reference cycles (cache dicts, deques, and the
@@ -188,10 +122,8 @@ def replay_trace(captured: "CapturedTrace",
         gc.disable()
     try:
         source.warm_into(hierarchy)
-        core = Core(params, hierarchy)
-        if selected_replay_path(captured, params) == "columnar":
-            return replay_columns(core, batch_for(captured.streams[0]))
-        return core.run(source.streams())
+        return replay_columns(Core(params, hierarchy),
+                              batch_for(captured.stream))
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -20,7 +20,8 @@ Container format (all integers little-endian)::
     magic      8 bytes   b"REPROTRC"
     headerlen  4 bytes   length of the JSON header
     header     JSON      schema, fingerprint, label, meta, fill
-                         ranges, and per-stream column manifests
+                         ranges, and the column manifests of exactly
+                         two sections: ``warm``, then ``stream0``
     payload    raw bytes the column arrays, concatenated in
                          manifest order
     digest     32 bytes  SHA-256 over everything above
@@ -48,6 +49,8 @@ __all__ = ["TraceFormatError", "TraceStore", "serialize", "deserialize"]
 _MAGIC = b"REPROTRC"
 _HEADER_LEN = struct.Struct("<I")
 _DIGEST_BYTES = 32
+#: The section names of every container, in payload order.
+_SECTIONS = ("warm", "stream0")
 
 
 class TraceFormatError(ValueError):
@@ -68,9 +71,7 @@ def _stream_manifest(name: str, stream: EncodedStream) -> dict:
 
 def serialize(captured: CapturedTrace) -> bytes:
     """The binary container for one captured trace."""
-    sections = [("warm", captured.warm)]
-    sections += [(f"stream{i}", stream)
-                 for i, stream in enumerate(captured.streams)]
+    sections = tuple(zip(_SECTIONS, (captured.warm, captured.stream)))
     header = {
         "schema": TRACE_SCHEMA,
         "fingerprint": captured.fingerprint,
@@ -148,6 +149,7 @@ def deserialize(data: bytes) -> CapturedTrace:
     payload = body[header_start + header_len:]
     try:
         sections = header["sections"]
+        names = tuple(manifest["name"] for manifest in sections)
         fill_ranges = tuple((int(base), int(nbytes))
                             for base, nbytes in header["fill_ranges"])
         fingerprint = header["fingerprint"]
@@ -155,8 +157,9 @@ def deserialize(data: bytes) -> CapturedTrace:
         meta = header.get("meta", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed header fields: {exc}") from exc
-    if not sections or sections[0].get("name") != "warm":
-        raise TraceFormatError("first section must be the warm stream")
+    if names != _SECTIONS:
+        raise TraceFormatError(
+            f"sections {list(names)}, expected {list(_SECTIONS)}")
     offset = 0
     streams: list[EncodedStream] = []
     try:
@@ -173,7 +176,7 @@ def deserialize(data: bytes) -> CapturedTrace:
         label=label,
         fill_ranges=fill_ranges,
         warm=streams[0],
-        streams=tuple(streams[1:]),
+        stream=streams[1],
         meta=meta,
     )
 

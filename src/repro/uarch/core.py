@@ -16,6 +16,9 @@ The model captures the structures the paper's analysis depends on:
 
 Execution consumes pre-generated micro-op traces (one per hardware
 thread; two for SMT) produced by the workloads in :mod:`repro.apps`.
+SMT (Figure 3) is simply a run over two traces: fetch rotates between
+the threads, and the ROB, reservation stations, load/store buffers,
+super queue and every cache level are competitively shared.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 :meth:`repro.uarch.core.Core.run` is the *general* loop: any number of
 hardware threads, optional cycle budgets, live or decoded sources.  A
-single-thread trace replay — the shape of every Figure 1/2/4/5/7 cell —
-needs none of that generality, yet pays for all of it per micro-op:
+captured trace replay — one thread, the shape of every cell except
+the live SMT and chip runs — needs none of that generality, yet pays for all of it per micro-op:
 one ``MicroOp`` allocation, a ROB-entry object, a generator resume,
 round-robin thread bookkeeping, and several method dispatches per op in
 the interpreted loop.
@@ -34,11 +34,8 @@ other way around.  The loop intentionally reads private predictor and
 snapshot internals; it is the sanctioned twin of ``Core.run``, not a
 public API.
 
-Selection lives in :func:`repro.trace.replay.replay_trace` (one
-captured thread, no SMT, no fault plan) and participates in
-:func:`repro.core.sweep.config_fingerprint` via
-:data:`REPLAY_ENGINE_SCHEMA`, so cached results can never silently mix
-engine generations.
+:func:`repro.trace.replay.replay_trace` times every captured trace
+with this loop.
 """
 
 from __future__ import annotations
@@ -52,14 +49,7 @@ from repro.uarch.core import Core, CoreResult, _HierarchySnapshot
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.trace.columns import ColumnBatch
 
-__all__ = ["REPLAY_ENGINE_SCHEMA", "replay_columns"]
-
-#: Bump when the fast loop's *algorithm* changes relative to the
-#: general loop (both must change together; the equivalence tests pin
-#: them to each other).  Folded into every result fingerprint so a
-#: result computed by an older engine can never be served for a newer
-#: one.
-REPLAY_ENGINE_SCHEMA = 1
+__all__ = ["replay_columns"]
 
 
 def replay_columns(core: Core, batch: "ColumnBatch") -> CoreResult:

@@ -465,12 +465,6 @@ class MemoryHierarchy:
         )
 
     # -- fills and writeback propagation --------------------------------
-    def _fill_l1(self, l1: Cache, addr: int, dirty: bool) -> None:
-        victim = l1.fill_fast(addr, dirty)
-        if victim >= 0:
-            # Dirty writeback into L2; may ripple downward.
-            self._fill_l2(victim, dirty=True, is_os=False, quiet=True)
-
     def _fill_l2(self, addr: int, dirty: bool, is_os: bool, quiet: bool = False) -> None:
         # Cache.fill_fast, inlined (demand fill: not a prefetch).
         l2 = self.l2

@@ -13,14 +13,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.runner import RunConfig
+from repro.core.experiments import figure8_faults
 from repro.core.workloads import REGISTRY
 from repro.faults.plan import FaultPlan
 from repro.trace.capture import TraceKey, build_app_for, capture
 from repro.trace.columns import batch_for
 from repro.trace.live import LiveSource
-from repro.trace.replay import (ReplaySource, replay_path_for, replay_trace,
-                                selected_replay_path)
+from repro.trace.replay import ReplaySource, replay_trace
 from repro.trace.store import deserialize, serialize
 from repro.uarch.core import Core
 from repro.uarch.counters import COUNTER_NAMES
@@ -88,9 +87,9 @@ def test_one_capture_serves_many_machine_configs():
 
 
 # ---------------------------------------------------------------------
-# Engine equivalence: the columnar fast path against the general loop.
-# ``replay_trace`` dispatches between the two; these tests run both
-# engines on one capture and demand bit-identical counters.
+# Engine equivalence: the columnar engine against the general loop.
+# ``replay_trace`` times every capture with the columnar engine;
+# ``Core.run`` is the reference it must match bit for bit.
 
 def engine_counters(captured, params: MachineParams, engine: str) -> dict:
     """One measurement through an explicitly chosen replay engine."""
@@ -99,54 +98,29 @@ def engine_counters(captured, params: MachineParams, engine: str) -> dict:
     source.warm_into(hierarchy)
     core = Core(params, hierarchy)
     if engine == "columnar":
-        result = replay_columns(core, batch_for(captured.streams[0]))
+        result = replay_columns(core, batch_for(captured.stream))
     else:
-        result = core.run(source.streams())
+        result = core.run([captured.stream.decode()])
     return dict(result.to_counters().values)
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_columnar_engine_matches_general_loop(name):
+@pytest.mark.parametrize("name, fault_plan", [
+    *(pytest.param(name, None, id=name) for name in sorted(REGISTRY)),
+    # Fault-injected captures: the Figure 8 degraded plan.
+    *(pytest.param(name, figure8_faults.degraded_plan(),
+                   id=f"{name}-degraded")
+      for name in figure8_faults.DEFAULT_WORKLOADS),
+])
+def test_columnar_engine_matches_general_loop(name, fault_plan):
     """Every counter, every workload: fast path ≡ general loop."""
-    key = TraceKey(name, window_uops=WINDOW, warm_uops=WARM)
+    key = TraceKey(name, window_uops=WINDOW, warm_uops=WARM,
+                   fault_plan=fault_plan)
     captured, _app = capture(key)
     params = MachineParams()
     fast = engine_counters(captured, params, "columnar")
     general = engine_counters(captured, params, "general")
     assert fast == general
     assert set(fast) == set(COUNTER_NAMES)
-
-
-def test_plain_capture_selects_columnar_engine():
-    key = TraceKey("media-streaming", window_uops=WINDOW, warm_uops=WARM)
-    captured, _app = capture(key)
-    assert selected_replay_path(captured, MachineParams()) == "columnar"
-    # SMT machines fall back to the general loop even for this capture.
-    assert selected_replay_path(captured,
-                                MachineParams().with_smt(2)) == "general"
-
-
-def test_fault_plan_capture_selects_general_loop():
-    """Injected faults must never reach the no-fault fast path."""
-    plan = FaultPlan.degraded(seed=3, intensity=1.5)
-    key = TraceKey("data-serving", window_uops=WINDOW, warm_uops=WARM,
-                   fault_plan=plan)
-    captured, _app = capture(key)
-    assert captured.meta["fault_events"] > 0
-    assert selected_replay_path(captured, MachineParams()) == "general"
-
-
-def test_replay_path_for_mirrors_runtime_selection():
-    """The fingerprint-side selector agrees with the runtime one."""
-    healthy = RunConfig()
-    assert replay_path_for("single", healthy) == "columnar"
-    assert replay_path_for("member", healthy) == "columnar"
-    assert replay_path_for("smt", healthy) == "general"
-    assert replay_path_for("chip", healthy) == "general"
-    faulted = RunConfig(fault_plan=FaultPlan.degraded(seed=3, intensity=1.5))
-    assert replay_path_for("single", faulted) == "general"
-    smt = RunConfig(params=MachineParams().with_smt(2))
-    assert replay_path_for("single", smt) == "general"
 
 
 def wide_line_params() -> MachineParams:

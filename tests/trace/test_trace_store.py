@@ -56,6 +56,19 @@ def resign(data: bytes, **header_updates) -> bytes:
     return new_body + hashlib.sha256(new_body).digest()
 
 
+def container(captured, sections: list, streams: list) -> bytes:
+    """A checksummed container with the given section manifests and
+    the column bytes of ``streams`` as its payload."""
+    header = dict(header_of(serialize(captured)), sections=sections)
+    header_bytes = json.dumps(header, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+    payload = b"".join(column.tobytes() for stream in streams
+                       for column in stream.columns())
+    body = (_MAGIC + _HEADER_LEN.pack(len(header_bytes)) + header_bytes
+            + payload)
+    return body + hashlib.sha256(body).digest()
+
+
 class TestContainerRoundTrip:
     def test_everything_survives(self, captured):
         restored = deserialize(serialize(captured))
@@ -63,7 +76,7 @@ class TestContainerRoundTrip:
         assert restored.label == captured.label
         assert restored.fill_ranges == captured.fill_ranges
         assert restored.warm == captured.warm
-        assert restored.streams == captured.streams
+        assert restored.stream == captured.stream
         assert restored.meta == captured.meta
 
     def test_serialization_is_deterministic(self, captured):
@@ -115,6 +128,26 @@ class TestContainerDefects:
         with pytest.raises(TraceFormatError, match="warm"):
             deserialize(data)
 
+    @pytest.mark.parametrize("measurement_sections", [0, 2])
+    def test_exactly_one_measurement_section(self, tmp_path, captured,
+                                             measurement_sections):
+        """A container with no measurement stream, or with two, is a
+        defect the store quarantines — replay would otherwise time an
+        empty stream or silently ignore one."""
+        warm, stream = header_of(serialize(captured))["sections"]
+        sections = [warm] + [dict(stream, name=f"stream{i}")
+                             for i in range(measurement_sections)]
+        payloads = [captured.warm] + [captured.stream] * measurement_sections
+        data = container(captured, sections, payloads)
+        with pytest.raises(TraceFormatError, match="sections"):
+            deserialize(data)
+        store = TraceStore(tmp_path)
+        store.path_for(captured.fingerprint).parent.mkdir(parents=True)
+        store.path_for(captured.fingerprint).write_bytes(data)
+        assert store.get(captured.fingerprint) is None
+        assert (store.corrupt_directory
+                / f"{captured.fingerprint}.reason").exists()
+
     def test_alien_column_set(self, captured):
         sections = header_of(serialize(captured))["sections"]
         columns = [dict(c) for c in sections[0]["columns"]]
@@ -132,7 +165,7 @@ class TestTraceStore:
         restored = store.get(captured.fingerprint)
         assert restored is not None
         assert restored.warm == captured.warm
-        assert restored.streams == captured.streams
+        assert restored.stream == captured.stream
 
     def test_miss_is_none(self, tmp_path):
         assert TraceStore(tmp_path).get("f" * 64) is None
