@@ -43,14 +43,12 @@ def fill_lines(hierarchy: MemoryHierarchy,
                ranges: Iterable[tuple[int, int]]) -> None:
     """Install every line of ``(base, nbytes)`` ranges into the LLC.
 
-    The line size comes from the LLC being warmed — a 128-byte-line
-    hierarchy must be filled at 128-byte granularity, not a hardcoded
-    64 (walking such a hierarchy with a 64-byte step would double-count
-    every line's LRU touch and halve the effective reach of the walk).
+    One batched :meth:`~repro.uarch.cache.Cache.install_ranges` call
+    over the whole fill set.  The line size comes from the LLC being
+    warmed — a 128-byte-line hierarchy is filled at 128-byte
+    granularity, not a hardcoded 64.
     """
-    llc = hierarchy.llc
-    for base, nbytes in ranges:
-        llc.install_span(base, nbytes)
+    hierarchy.llc.install_ranges(ranges)
 
 
 def functional_replay(hierarchy: MemoryHierarchy,

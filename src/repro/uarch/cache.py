@@ -1,14 +1,23 @@
 """Set-associative cache with LRU replacement and per-class statistics.
 
 The implementation favours simulation speed: each set is a plain dict
-keyed by tag (Python dicts preserve insertion order, so popping and
-re-inserting a key implements LRU move-to-front in O(1)).  Per-line
-metadata (dirty, prefetched-and-not-yet-used) is the dict value.
+keyed by line number (Python dicts preserve insertion order, so popping
+and re-inserting a key implements LRU move-to-front in O(1)).  Per-line
+metadata is the dict value: one int flag word, bit 0 dirty
+(:data:`DIRTY`), bit 1 prefetched-and-not-yet-demanded
+(:data:`PREFETCHED`), and the residual prefetch latency above them
+(``flags >> PF_SHIFT``).  Plain int values need no per-line object, and
+a dict holding only ints is never tracked by the cyclic GC.  The inlined
+hot paths in :mod:`repro.uarch.hierarchy` and :mod:`repro.uarch.fastpath`
+use the same bits as literals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.uarch.params import CacheParams
 
@@ -46,19 +55,12 @@ class CacheStats:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-@dataclass(slots=True)
-class LineState:
-    """Metadata stored with each resident line.
-
-    ``slots=True`` matters here: a simulation holds and churns hundreds
-    of thousands of these, and dropping the per-instance ``__dict__``
-    roughly halves both the allocation cost and the number of
-    containers the cyclic GC has to traverse.
-    """
-
-    dirty: bool = False
-    prefetched: bool = False  # brought in by a prefetcher, not yet demanded
-    pf_penalty: int = 0  # residual latency if demanded before fully fetched
+#: Line flag word bits (the value each set dict stores per line).
+DIRTY = 1
+PREFETCHED = 2  # brought in by a prefetcher, not yet demanded
+#: The residual latency a demand pays if it arrives before the
+#: prefetch's fill completes sits above the two flag bits.
+PF_SHIFT = 2
 
 
 @dataclass
@@ -79,7 +81,7 @@ class Cache:
         self.num_sets = params.num_sets
         self.assoc = params.assoc
         self.latency = params.latency
-        self._sets: list[dict[int, LineState]] = [dict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
         # Residual latency charged by the last demand hit that consumed a
         # still-in-flight prefetch (read by the hierarchy after access()).
@@ -112,22 +114,20 @@ class Cache:
         the hierarchy decides fill policy via :meth:`fill`."""
         line = addr >> self._line_shift
         cset = self._sets[line % self.num_sets]
-        state = cset.get(line)
+        flags = cset.pop(line, None)
         stats = self.stats
         self.consumed_pf_penalty = 0
-        if state is not None:
-            # LRU bump: re-insert at the most-recently-used position.
-            del cset[line]
-            cset[line] = state
-            if state.prefetched:
-                state.prefetched = False
+        if flags is not None:
+            if flags & PREFETCHED:
                 stats.prefetch_useful += 1
                 # A late prefetch: the demand arrives while the fill is
                 # still in flight and pays part of the source latency.
-                self.consumed_pf_penalty = state.pf_penalty
-                state.pf_penalty = 0
+                self.consumed_pf_penalty = flags >> PF_SHIFT
+                flags &= DIRTY
             if is_write:
-                state.dirty = True
+                flags |= DIRTY
+            # LRU bump: re-insert at the most-recently-used position.
+            cset[line] = flags
             stats.demand_hits += 1
             if is_instr:
                 stats.inst_hits += 1
@@ -164,177 +164,80 @@ class Cache:
         cset = self._sets[line % self.num_sets]
         existing = cset.get(line)
         if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            if not prefetched:
-                existing.prefetched = False
-                existing.pf_penalty = 0
+            # Merged in place, no LRU bump; a demand fill clears any
+            # not-yet-used prefetch marking.
+            cset[line] = ((existing | dirty) if prefetched
+                          else (existing & DIRTY) | dirty)
             return None
         victim = None
         if len(cset) >= self.assoc:
-            old_line, old_state = next(iter(cset.items()))
+            old_line, old = next(iter(cset.items()))
             del cset[old_line]
-            if old_state.dirty:
+            if old & DIRTY:
                 self.stats.writebacks += 1
-            if old_state.prefetched:
+            if old & PREFETCHED:
                 self.stats.prefetch_unused_evicted += 1
             victim = EvictedLine(
                 addr=old_line << self._line_shift,
-                dirty=old_state.dirty,
-                was_unused_prefetch=old_state.prefetched,
+                dirty=bool(old & DIRTY),
+                was_unused_prefetch=bool(old & PREFETCHED),
             )
-        cset[line] = LineState(dirty=dirty, prefetched=prefetched,
-                               pf_penalty=pf_penalty)
+        cset[line] = dirty | prefetched << 1 | pf_penalty << PF_SHIFT
         if prefetched:
             self.stats.prefetch_issued += 1
         return victim
 
-    def fill_fast(
-        self,
-        addr: int,
-        dirty: bool = False,
-        prefetched: bool = False,
-        pf_penalty: int = 0,
-    ) -> int:
-        """:meth:`fill` without the victim record: the hot-path variant.
+    def install_ranges(self, ranges: Iterable[tuple[int, int]]) -> None:
+        """Install every line of ``(base, nbytes)`` ranges, in order.
 
-        Returns the evicted line's byte address if that line was dirty
-        (the only victims the hierarchy propagates — they ripple as
-        writebacks), else ``-1``.  Statistics, LRU order, and the
-        existing-line merge are identical to :meth:`fill`; on eviction
-        the victim's :class:`LineState` is recycled for the incoming
-        line instead of allocating a fresh one (no caller retains line
-        state across a fill).
+        Equivalent to calling :meth:`fill` (default arguments, victim
+        discarded) at ``base``, ``base + line_bytes``, ... below
+        ``base + nbytes`` for each range in turn — same final set
+        contents and LRU order, same statistics — but batched over the
+        whole fill set: functional warming installs 36k–240k lines per
+        replay through here.
+
+        The install-order line sequence is built and grouped by set
+        (stable, so each set sees its lines in install order) with
+        numpy.  A set that starts empty and receives no line twice
+        ends up holding exactly its last ``assoc`` lines, all clean:
+        every eviction along the way is of a clean line this call
+        installed, so no statistic fires and the set is written in one
+        ``dict.fromkeys``.  Every other set — one already holding
+        lines, or receiving a repeated line — takes the per-line walk.
         """
-        line = addr >> self._line_shift
-        cset = self._sets[line % self.num_sets]
-        existing = cset.get(line)
-        if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            if not prefetched:
-                existing.prefetched = False
-                existing.pf_penalty = 0
-            return -1
-        victim_addr = -1
-        if len(cset) >= self.assoc:
-            old_line, old_state = next(iter(cset.items()))
-            del cset[old_line]
-            if old_state.dirty:
-                self.stats.writebacks += 1
-                victim_addr = old_line << self._line_shift
-            if old_state.prefetched:
-                self.stats.prefetch_unused_evicted += 1
-            old_state.dirty = dirty
-            old_state.prefetched = prefetched
-            old_state.pf_penalty = pf_penalty
-            cset[line] = old_state
-        else:
-            cset[line] = LineState(dirty, prefetched, pf_penalty)
-        if prefetched:
-            self.stats.prefetch_issued += 1
-        return victim_addr
-
-    def install_span(self, base: int, nbytes: int) -> None:
-        """Install every line of ``[base, base + nbytes)``, batched.
-
-        Equivalent to calling :meth:`fill` (with default arguments, the
-        victim discarded) once per line of the span, but with the
-        per-line method dispatch and victim-record allocation hoisted —
-        functional warming installs tens of thousands of lines per
-        replay through this path.  Statistic updates and LRU behaviour
-        are identical to the per-line walk.
-        """
-        shift = self._line_shift
-        num_sets = self.num_sets
+        by_set, groups, repeat_sets = _lines_by_set(
+            ranges, self._line_shift, self.line_bytes, self.num_sets)
         assoc = self.assoc
         sets = self._sets
         stats = self.stats
-        # The addresses stepped from ``base`` by one line map onto
-        # consecutive line numbers regardless of alignment, so the walk
-        # can iterate lines directly.
-        l0 = base >> shift
-        nlines = (nbytes + self.line_bytes - 1) // self.line_bytes
-        end = l0 + nlines
-        if nlines >= num_sets * assoc and not any(
-            l0 <= line < end for cset in sets for line in cset
-        ):
-            # The span floods every set with at least ``assoc`` fresh
-            # lines, and none of its lines are already resident: every
-            # pre-existing line is evicted no matter what (charge its
-            # eviction stats), the span's own non-surviving lines come
-            # and go clean (no stats), and the final state is exactly
-            # the span's last ``num_sets * assoc`` lines in install
-            # order.  Skipping the doomed installs makes warming a
-            # larger-than-LLC footprint O(capacity), not O(footprint).
-            start = end - num_sets * assoc
-            for s in range(num_sets):
-                old = sets[s]
-                new = {}
-                olds = iter(old.values())
-                first = start + ((s - start) % num_sets)
-                for line in range(first, end, num_sets):
-                    state = next(olds, None)
-                    if state is None:
-                        new[line] = LineState()
-                    else:
-                        # Charge the recycled line's eviction and reset
-                        # it to a fresh clean install.
-                        if state.dirty:
-                            stats.writebacks += 1
-                        if state.prefetched:
-                            stats.prefetch_unused_evicted += 1
-                        state.dirty = False
-                        state.prefetched = False
-                        state.pf_penalty = 0
-                        new[line] = state
-                sets[s] = new
-            return
-        # Walk the span one set at a time (the span's lines land in sets
-        # round-robin, so set s receives every ``num_sets``-th line).
-        # Within a set the install order matches the sequential walk;
-        # across sets the order is immaterial (LRU state is per set and
-        # the statistics are plain counters).
-        for s in range(min(nlines, num_sets)):
-            first = l0 + s
-            set_index = first % num_sets
-            cset = sets[set_index]
-            if not cset:
-                # Empty set: the sequential walk installs this set's
-                # span lines in ascending order, evicting only the
-                # span's own earlier lines once past ``assoc`` — all
-                # clean, never prefetched, so no statistics fire and
-                # the final content is exactly the last ``assoc`` lines
-                # in install order.
-                span = range(first, end, num_sets)
-                k = len(span)
-                if k > assoc:
-                    span = span[k - assoc:]
-                sets[set_index] = {line: LineState() for line in span}
+        for index, lo, hi in groups:
+            cset = sets[index]
+            if not cset and index not in repeat_sets:
+                sets[index] = dict.fromkeys(by_set[max(lo, hi - assoc):hi], 0)
                 continue
-            cset_get = cset.get
             occupancy = len(cset)
-            for line in range(first, end, num_sets):
-                existing = cset_get(line)
+            for line in by_set[lo:hi]:
+                existing = cset.get(line)
                 if existing is not None:
-                    # Same as fill(dirty=False, prefetched=False): a
-                    # demand install clears any not-yet-used prefetch
-                    # marking.
-                    existing.prefetched = False
-                    existing.pf_penalty = 0
+                    # fill(): clear any not-yet-used prefetch marking.
+                    cset[line] = existing & DIRTY
                     continue
                 if occupancy >= assoc:
-                    # del + insert keeps the set at ``assoc`` lines.
-                    old_line, old_state = next(iter(cset.items()))
+                    old_line, old = next(iter(cset.items()))
                     del cset[old_line]
-                    if old_state.dirty:
+                    if old & DIRTY:
                         stats.writebacks += 1
-                    if old_state.prefetched:
+                    if old & PREFETCHED:
                         stats.prefetch_unused_evicted += 1
                 else:
                     occupancy += 1
-                cset[line] = LineState()
+                cset[line] = 0
 
-    def peek_state(self, addr: int) -> LineState | None:
-        """Inspect a line's metadata without touching LRU or stats."""
+    def peek_state(self, addr: int) -> int | None:
+        """A resident line's flag word (``None`` if absent), read without
+        touching LRU or stats: test ``DIRTY``/``PREFETCHED``, and shift
+        by ``PF_SHIFT`` for the residual prefetch latency."""
         line = self.line_addr(addr)
         return self._sets[self._set_index(line)].get(line)
 
@@ -351,3 +254,37 @@ class Cache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kb = self.params.size_bytes / 1024
         return f"<Cache {self.name} {kb:.0f}KB {self.assoc}-way lat={self.latency}>"
+
+
+def _lines_by_set(ranges: Iterable[tuple[int, int]], shift: int,
+                  line_bytes: int, num_sets: int,
+                  ) -> tuple[list[int], Iterable[tuple[int, int, int]], set[int]]:
+    """The install-order line sequence of ``ranges``, grouped by set.
+
+    Returns ``(lines, groups, repeat_sets)``: ``lines`` lists every line
+    set by set, each set's lines in install order; ``groups`` yields
+    ``(set index, lo, hi)`` for each set's slice of it; ``repeat_sets``
+    holds the sets that receive some line more than once.  The numpy
+    temporaries die on return, before the caller builds its set dicts.
+    """
+    spans = np.array(list(ranges), dtype=np.int64).reshape(-1, 2)
+    counts = np.maximum((spans[:, 1] + line_bytes - 1) // line_bytes, 0)
+    total = int(counts.sum())
+    if not total:
+        return [], (), set()
+    # Consecutive lines per range (the addresses stepped from ``base``
+    # by one line map onto consecutive line numbers, whatever the
+    # alignment), ranges concatenated in order.
+    lines = (np.arange(total, dtype=np.int64)
+             + np.repeat((spans[:, 0] >> shift) - (np.cumsum(counts) - counts),
+                         counts))
+    ordered = np.sort(lines)
+    repeat_sets = set((ordered[1:][ordered[1:] == ordered[:-1]]
+                       % num_sets).tolist())
+    set_of = lines % num_sets
+    order = np.argsort(set_of, kind="stable")
+    set_of = set_of[order]
+    bounds = (np.flatnonzero(set_of[1:] != set_of[:-1]) + 1).tolist()
+    starts = [0] + bounds
+    groups = zip(set_of[starts].tolist(), starts, bounds + [total])
+    return lines[order].tolist(), groups, repeat_sets

@@ -76,8 +76,8 @@ def replay_columns(core: Core, batch: "ColumnBatch") -> CoreResult:
 
     # The translate + L1-hit slice of access_timed, inlined per side:
     # the overwhelmingly common memory outcome.  Anything else (TLB
-    # miss, prefetched line, L1 miss) falls back to the full walk.
-    # Mirrors access_timed statistic-for-statistic; the equivalence
+    # miss, prefetched line -- flag bit 2 -- or L1 miss) falls back to
+    # the full walk; a store hit sets the dirty bit, 1.  Mirrors access_timed statistic-for-statistic; the equivalence
     # suite pins the two.  A non-power-of-two page size (page_shift 0)
     # disables the inline probe entirely.
     page_shift = hier._page_shift
@@ -285,7 +285,7 @@ def replay_columns(core: Core, batch: "ColumnBatch") -> CoreResult:
                     lline = a >> l1d_shift
                     lset = l1d_sets[lline % l1d_nsets]
                     st = lset.get(lline)
-                if st is not None and not st.prefetched:
+                if st is not None and not st & 2:
                     page = a >> page_shift
                     del dl1map[page]
                     dl1map[page] = None
@@ -316,16 +316,15 @@ def replay_columns(core: Core, batch: "ColumnBatch") -> CoreResult:
                     lline = a >> l1d_shift
                     lset = l1d_sets[lline % l1d_nsets]
                     st = lset.get(lline)
-                if st is not None and not st.prefetched:
+                if st is not None and not st & 2:
                     page = a >> page_shift
                     del dl1map[page]
                     dl1map[page] = None
                     dtstats.l1_hits += 1
                     record_write(a, core_id)
                     del lset[lline]
-                    lset[lline] = st
+                    lset[lline] = st | 1
                     l1d.consumed_pf_penalty = 0
-                    st.dirty = True
                     l1dstats.demand_hits += 1
                     l1dstats.data_hits += 1
                     if os_flags[idx]:
@@ -370,7 +369,7 @@ def replay_columns(core: Core, batch: "ColumnBatch") -> CoreResult:
                             fline = pc >> l1i_shift
                             fset = l1i_sets[fline % l1i_nsets]
                             st = fset.get(fline)
-                        if st is not None and not st.prefetched:
+                        if st is not None and not st & 2:
                             page = pc >> page_shift
                             del il1map[page]
                             il1map[page] = None

@@ -1,12 +1,13 @@
 """Cache model: hits, LRU replacement, writebacks, prefetch metadata."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uarch.cache import Cache
-from repro.uarch.params import CacheParams
+from repro.uarch.cache import DIRTY, PF_SHIFT, PREFETCHED, Cache
+from repro.uarch.params import CacheParams, MachineParams
 
 
 def make_cache(size=4096, assoc=4, latency=4, line=64) -> Cache:
@@ -120,6 +121,27 @@ class TestPrefetchMetadata:
         cache.access(0)
         assert cache.consumed_pf_penalty == 0
 
+    def test_peek_state_reads_the_flag_word(self):
+        cache = make_cache()
+        cache.fill(0, prefetched=True, pf_penalty=80)
+        flags = cache.peek_state(0)
+        assert flags & PREFETCHED and not flags & DIRTY
+        assert flags >> PF_SHIFT == 80
+        assert cache.peek_state(64) is None
+
+    @pytest.mark.parametrize("demand_fill", [
+        lambda cache: cache.fill(0, dirty=True),
+        lambda cache: cache.install_ranges([(0, 64)]),
+    ], ids=["fill", "install_ranges"])
+    def test_demand_fill_clears_prefetched_bit_and_penalty(self, demand_fill):
+        cache = make_cache()
+        cache.fill(0, prefetched=True, pf_penalty=80)
+        cache.fill(64, dirty=True)
+        demand_fill(cache)
+        flags = cache.peek_state(0)
+        assert not flags & PREFETCHED and flags >> PF_SHIFT == 0
+        assert cache.peek_state(64) == DIRTY  # untouched neighbour
+
 
 class TestInvalidate:
     def test_invalidate_removes_line(self):
@@ -213,3 +235,77 @@ def test_resident_lines_never_exceed_capacity(seed):
     for _ in range(500):
         cache.fill(rng.randrange(1 << 20) & ~63)
         assert cache.resident_lines() <= capacity
+
+
+# -- batched install against the per-line fill() walk ---------------------
+
+def per_line_install(cache: Cache, ranges) -> None:
+    """Oracle: what :meth:`Cache.install_ranges` must equal, line by line."""
+    for base, nbytes in ranges:
+        for addr in range(base, base + nbytes, cache.line_bytes):
+            cache.fill(addr)
+
+
+def snapshot(cache: Cache):
+    """Every set's (line, flags) in LRU order, and every statistic."""
+    return [list(cset.items()) for cset in cache._sets], asdict(cache.stats)
+
+
+def assert_install_matches_oracle(params: CacheParams, prefill, ranges):
+    batched, oracle = Cache("b", params), Cache("o", params)
+    for cache in (batched, oracle):
+        for addr, dirty, prefetched, penalty in prefill:
+            cache.fill(addr, dirty=dirty, prefetched=prefetched,
+                       pf_penalty=penalty)
+    batched.install_ranges(ranges)
+    per_line_install(oracle, ranges)
+    assert snapshot(batched) == snapshot(oracle)
+
+
+@st.composite
+def install_cases(draw):
+    num_sets = draw(st.sampled_from([1, 3, 5, 8]))  # 3 and 5: not 2^k
+    assoc = draw(st.sampled_from([1, 2, 4]))
+    line = draw(st.sampled_from([64, 128]))
+    params = CacheParams(num_sets * assoc * line, assoc, 4, line)
+    lines = 4 * num_sets * assoc  # the address space the cases touch
+    prefill = draw(st.lists(st.tuples(
+        st.integers(0, lines - 1).map(lambda i: i * line),
+        st.booleans(), st.booleans(), st.integers(0, 40)), max_size=40))
+    ranges = draw(st.lists(st.tuples(
+        st.integers(0, lines * line),  # any byte: misaligned bases too
+        st.one_of(st.just(0), st.integers(1, 3 * line),
+                  st.integers(0, 2 * lines * line))), max_size=8))
+    return params, prefill, ranges
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=install_cases())
+def test_install_ranges_matches_per_line_fill(case):
+    """Property: same set contents, LRU order, flags and statistics as
+    the per-line walk — on empty and pre-populated caches (dirty and
+    prefetched lines), over overlapping, repeated, misaligned,
+    zero-length and larger-than-capacity spans."""
+    assert_install_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("prefilled", [False, True],
+                         ids=["empty", "prefilled"])
+def test_install_ranges_mcf_scale_span(prefilled):
+    """One span of mcf's 212,992 lines — larger than the whole cache —
+    into the 5 MB LLC's 5,120 sets (not a power of two), with a
+    repeated line and a span that overlaps it."""
+    llc = MachineParams().with_llc_mb(5).llc
+    assert llc.num_sets == 5_120
+    base = 0x4000_0000
+    ranges = [(base - 100, 4096), (base, 212_992 * 64),
+              (base + 64 * 7, 64), (0x1234, 3 * 64)]
+    prefill = [(base + i * 4160, i % 2 == 0, i % 3 == 0, i)
+               for i in range(0, 20_000, 7)] if prefilled else []
+    assert_install_matches_oracle(llc, prefill, ranges)
+
+
+def test_install_ranges_with_128_byte_lines():
+    llc = CacheParams(1 << 20, 16, 29, line_bytes=128)
+    ranges = [(0x10_0040, 70_000), (0x10_0000, 128 * 700), (0x9_0000, 0)]
+    assert_install_matches_oracle(llc, [(0x10_0080, True, False, 0)], ranges)
